@@ -6,4 +6,5 @@ let () =
    @ Test_obs.suites @ Test_audit.suites @ Test_lint.suites
    @ Test_manetsem.suites @ Test_manetdom.suites @ Test_manethot.suites
    @ Test_sweep.suites
-   @ Test_scenario.suites @ Test_perf.suites @ Test_timeline.suites)
+   @ Test_scenario.suites @ Test_perf.suites @ Test_timeline.suites
+   @ Test_trace_golden.suites)
