@@ -30,6 +30,7 @@ module Metrics = Manetsec.Metrics
 module Detector = Manetsec.Detector
 module Scn = Manet_scenario.Scn
 module Sexp = Manet_scenario.Sexp
+module Topology = Manetsec.Sim.Topology
 
 open Cmdliner
 
@@ -279,6 +280,22 @@ let telemetry_end ?audit_jsonl ?metrics_csv ?metrics_prom ?perf_json
   | None -> ());
   if profile then print_profile s
 
+(* A random field too sparse to connect is a configuration error, not an
+   internal one: report it as one CLI error line (non-zero exit, no
+   backtrace) instead of letting the exception escape. *)
+let placement_guard f =
+  match f () with
+  | result -> result
+  | exception
+      Topology.No_connected_placement { n; width; height; range; attempts } ->
+      `Error
+        ( false,
+          Printf.sprintf
+            "no connected placement of %d nodes on a %gx%g m field at radio \
+             range %g m after %d attempts; use fewer --nodes, or a --scenario \
+             file with a larger range or a smaller field"
+            n width height range attempts )
+
 let make_params ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers =
   let g = Prng.create ~seed:(seed + 7777) in
   let pool = Array.init (nodes - 1) (fun i -> i + 1) in
@@ -467,14 +484,15 @@ let run_flags_cmd ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers
 let run_cmd scenario_file out_dir nodes seed protocol suite mobility blackholes
     spammers duration flows trace jsonl_trace json_report profile audit_jsonl
     metrics_csv metrics_prom perf_json timeline_jsonl progress =
-  match scenario_file with
-  | Some file -> scenario_run file out_dir perf_json timeline_jsonl
-  | None ->
-      run_flags_cmd ~nodes ~seed ~protocol ~suite ~mobility ~blackholes
-        ~spammers ~duration ~flows ~trace ~jsonl_trace ~json_report ~profile
-        ~audit_jsonl ~metrics_csv ~metrics_prom ~perf_json ~timeline_jsonl
-        ~progress;
-      `Ok ()
+  placement_guard (fun () ->
+      match scenario_file with
+      | Some file -> scenario_run file out_dir perf_json timeline_jsonl
+      | None ->
+          run_flags_cmd ~nodes ~seed ~protocol ~suite ~mobility ~blackholes
+            ~spammers ~duration ~flows ~trace ~jsonl_trace ~json_report
+            ~profile ~audit_jsonl ~metrics_csv ~metrics_prom ~perf_json
+            ~timeline_jsonl ~progress;
+          `Ok ())
 
 let run_term =
   Term.(
@@ -525,8 +543,13 @@ let collide_t =
 
 let dad_term =
   Term.(
-    const dad_cmd $ nodes_t $ seed_t $ collide_t $ trace_t $ jsonl_trace_t
-    $ json_report_t $ profile_t)
+    ret
+      (const (fun nodes seed collide trace jsonl_trace json_report profile ->
+           placement_guard (fun () ->
+               dad_cmd nodes seed collide trace jsonl_trace json_report profile;
+               `Ok ()))
+      $ nodes_t $ seed_t $ collide_t $ trace_t $ jsonl_trace_t $ json_report_t
+      $ profile_t))
 
 (* --- attacks --------------------------------------------------------------- *)
 
@@ -567,7 +590,14 @@ let attacks_cmd nodes seed =
       ("churn", Adversary.identity_churner ~every:10.0);
     ]
 
-let attacks_term = Term.(const attacks_cmd $ nodes_t $ seed_t)
+let attacks_term =
+  Term.(
+    ret
+      (const (fun nodes seed ->
+           placement_guard (fun () ->
+               attacks_cmd nodes seed;
+               `Ok ()))
+      $ nodes_t $ seed_t))
 
 (* --- report ---------------------------------------------------------------- *)
 
@@ -732,6 +762,7 @@ let sweep_scenario file ~domains ~seeds ~stats_csv ~audit_out ~trace_out
 let sweep_cmd scenario_file domains e1_fractions e1_nodes e1_duration e6_sizes
     seeds stats_csv audit_out trace_out perf_out timeline_out =
   let domains = if domains <= 0 then Parallel.default_domains () else domains in
+  placement_guard @@ fun () ->
   match scenario_file with
   | Some file ->
       sweep_scenario file ~domains ~seeds ~stats_csv ~audit_out ~trace_out

@@ -141,7 +141,8 @@ let churn_identity t =
     ~stats:[ "attack.identity_changes" ]
     ~cause:("identity shed for " ^ Address.to_string id.Identity.address)
     ();
-  Ctx.log ctx ~event:"attack.churn" ~detail:(Address.to_string id.Identity.address)
+  Ctx.log ctx ~event:"attack.churn"
+    ~detail:(fun () -> Address.to_string id.Identity.address)
 
 let start t =
   if not t.running then begin

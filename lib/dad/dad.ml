@@ -135,10 +135,10 @@ let rec begin_attempt t ~attempt ~dn =
   let fkey = areq_key ~sip ~seq:t.seq ~ch in
   Hashtbl.replace t.seen_areq fkey ();
   Ctx.log ctx ~event:"dad.start"
-    ~detail:
-      (Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
-         (Option.value ~default:"-" dn)
-         attempt);
+    ~detail:(fun () ->
+      Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
+        (Option.value ~default:"-" dn)
+        attempt);
   Flood.originate (floods t) ~kind:Flood.Areq ~key:fkey ~node:(Ctx.node_id ctx);
   Flood.sent (floods t) ~kind:Flood.Areq ~key:fkey ~node:(Ctx.node_id ctx);
   Ctx.broadcast ctx (Messages.Areq { sip; seq = t.seq; dn; ch; rr = [] });
@@ -153,7 +153,7 @@ let rec begin_attempt t ~attempt ~dn =
           finish_bootstrap t Obs.Ok;
           Ctx.stat ctx "dad.configured";
           Ctx.log ctx ~event:"dad.configured"
-            ~detail:(Address.to_string (address t));
+            ~detail:(fun () -> Address.to_string (address t));
           t.on_complete (Configured { address = address t; name = dn })
       | _ -> ())
 
@@ -176,7 +176,7 @@ and retry_with_new_address t p =
   else begin
     Directory.unregister ctx.Ctx.directory (address t) (Ctx.node_id ctx);
     Identity.refresh_address (identity t) ctx.Ctx.rng;
-    Ctx.log ctx ~event:"dad.retry" ~detail:(Address.to_string (address t));
+    Ctx.log ctx ~event:"dad.retry" ~detail:(fun () -> Address.to_string (address t));
     begin_attempt t ~attempt:(p.p_attempt + 1) ~dn:p.p_dn
   end
 
@@ -205,7 +205,7 @@ and retry_with_new_name t p =
     let dn =
       Option.map (fun n -> Printf.sprintf "%s-%d" n (p.p_attempt + 2)) p.p_dn
     in
-    Ctx.log ctx ~event:"dad.rename" ~detail:(Option.value ~default:"-" dn);
+    Ctx.log ctx ~event:"dad.rename" ~detail:(fun () -> Option.value ~default:"-" dn);
     begin_attempt t ~attempt:(p.p_attempt + 1) ~dn
   end
 
@@ -251,7 +251,7 @@ let answer_duplicate t (m : (* areq fields *) Address.t * int64 * Address.t list
     ~stats:[ "dad.duplicate_detected" ]
     ~cause:("tentative claim of our address " ^ Address.to_string sip)
     ();
-  Ctx.log ctx ~event:"dad.duplicate" ~detail:(Address.to_string sip);
+  Ctx.log ctx ~event:"dad.duplicate" ~detail:(fun () -> Address.to_string sip);
   (* AREP span: child of the initiator's flood span (shared Obs), open
      from here until the initiator accepts the reply. *)
   let o = obs t in
@@ -347,7 +347,7 @@ let consume_arep t msg =
                     ~stats:[ "dad.arep_rejected" ]
                     ~cause:"arep challenge signature" ());
               Ctx.log t.ctx ~event:"dad.arep_rejected"
-                ~detail:(Address.to_string sip))
+                ~detail:(fun () -> Address.to_string sip))
       | _ ->
           (* Not ours: if we host the DNS this is a duplicate warning. *)
           t.warning_sink msg)
@@ -373,7 +373,7 @@ let consume_drep t msg =
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
               ~stats:[ "dad.drep_rejected" ]
               ~cause:"drep dns server signature" ();
-            Ctx.log t.ctx ~event:"dad.drep_rejected" ~detail:dn
+            Ctx.log t.ctx ~event:"dad.drep_rejected" ~detail:(fun () -> dn)
           end
       | _ -> ())
   | _ -> ()

@@ -146,7 +146,7 @@ let consume_ack t (m : Messages.t) =
             Directory.register ctx.Ctx.directory new_ip (Ctx.node_id ctx);
             Ctx.stat ctx "dns_client.ip_changed";
             Ctx.log ctx ~event:"dns_client.ip_changed"
-              ~detail:(Address.to_string new_ip)
+              ~detail:(fun () -> Address.to_string new_ip)
           end
           else
             Ctx.audit ctx ~kind:Audit.Dns_conflict

@@ -78,7 +78,7 @@ let send_drep t ~sip ~dn ~ch ~rr =
   let sig_ = Identity.sign ctx.Ctx.identity (Codec.drep_payload ~dn ~ch) in
   let back_path = List.rev rr @ [ sip ] in
   Ctx.stat ctx "dns.drep_sent";
-  Ctx.log ctx ~event:"dns.name_conflict" ~detail:dn;
+  Ctx.log ctx ~event:"dns.name_conflict" ~detail:(fun () -> dn);
   (* DREP span: child of the initiator's AREQ flood span (the DN rides
      the AREQ), open until the initiator verifies the reply. *)
   let o = obs t in
@@ -101,7 +101,8 @@ let commit_pending t reg =
     Ctx.stat t.ctx "dns.registered";
     finish_reg_span t reg Obs.Ok;
     Ctx.log t.ctx ~event:"dns.registered"
-      ~detail:(Printf.sprintf "%s -> %s" reg.reg_dn (Address.to_string reg.reg_sip))
+      ~detail:(fun () ->
+        Printf.sprintf "%s -> %s" reg.reg_dn (Address.to_string reg.reg_sip))
   end;
   drop_pending t reg
 
@@ -160,7 +161,8 @@ let observe_areq t msg =
             ~cause:"registration refused: verified duplicate warning on file"
             ();
           Ctx.log t.ctx ~event:"dns.warning"
-            ~detail:(Printf.sprintf "stashed duplicate %s" (Address.to_string sip))
+            ~detail:(fun () ->
+              Printf.sprintf "stashed duplicate %s" (Address.to_string sip))
       | None, None ->
           let span =
             let o = obs t in
@@ -213,7 +215,8 @@ let consume_warning t msg =
               ~stats:[ "dns.registration_cancelled" ]
               ~cause:"pending registration cancelled by duplicate warning" ();
             Ctx.log t.ctx ~event:"dns.warning"
-              ~detail:(Printf.sprintf "duplicate %s" (Address.to_string sip))
+              ~detail:(fun () ->
+                Printf.sprintf "duplicate %s" (Address.to_string sip))
           end
           else
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
@@ -283,9 +286,9 @@ let serve_ip_change_proof t ~old_ip ~new_ip ~old_rn ~new_rn ~pk ~sig_ ~route =
     List.iter (fun dn -> Hashtbl.replace t.table dn new_ip) renames;
     Ctx.stat ctx "dns.ip_changed";
     Ctx.log ctx ~event:"dns.ip_changed"
-      ~detail:
-        (Printf.sprintf "%s -> %s (%d names)" (Address.to_string old_ip)
-           (Address.to_string new_ip) (List.length renames))
+      ~detail:(fun () ->
+        Printf.sprintf "%s -> %s (%d names)" (Address.to_string old_ip)
+          (Address.to_string new_ip) (List.length renames))
   end
   else
     Ctx.audit ctx ~kind:Audit.Sig_verify_fail

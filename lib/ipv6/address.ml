@@ -28,6 +28,8 @@ let of_groups g =
   in
   { hi = pack g.(0) g.(1) g.(2) g.(3); lo = pack g.(4) g.(5) g.(6) g.(7) }
 
+(* manethot: allow hot-alloc — hot only as trace text: the transmit path
+   prints addresses only when a log sink is live (Obs.logging). *)
 let to_groups a =
   let unpack v =
     [|
@@ -160,6 +162,8 @@ let of_string_exn s =
 
 (* --- printing (RFC 5952) ---------------------------------------------- *)
 
+(* manethot: allow hot-alloc — hot only as trace text: the transmit path
+   prints addresses only when a log sink is live (Obs.logging). *)
 let to_string a =
   let g = to_groups a in
   (* Longest run of >= 2 zero groups, leftmost on ties. *)

@@ -10,15 +10,26 @@ type series = {
   mutable s_max : float;
 }
 
-(* Cells are keyed by (metric name, node, window index). *)
+(* Cells are keyed by (metric name, node, window index), in a table
+   that compares keys monomorphically.  Bucket order never leaks: the
+   exports sort their cells. *)
 type key = string * int * int
+
+module Ktbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal (na, ia, wa) (nb, ib, wb) =
+    String.equal na nb && Int.equal ia ib && Int.equal wa wb
+
+  let hash (n, i, w) = (((String.hash n * 31) + i) * 31) + w
+end)
 
 type t = {
   engine : Engine.t;
   win : float;
   mutable enabled : bool;
-  counters : (key, int ref) Hashtbl.t;
-  series : (key, series) Hashtbl.t;
+  counters : int ref Ktbl.t;
+  series : series Ktbl.t;
 }
 
 let create ?(window = 1.0) engine =
@@ -27,8 +38,8 @@ let create ?(window = 1.0) engine =
     engine;
     win = window;
     enabled = false;
-    counters = Hashtbl.create 256;
-    series = Hashtbl.create 64;
+    counters = Ktbl.create 256;
+    series = Ktbl.create 64;
   }
 
 let window t = t.win
@@ -37,17 +48,22 @@ let enabled t = t.enabled
 
 let widx t = int_of_float (Engine.now t.engine /. t.win)
 
+let bump t name node w by =
+  (* manethot: allow hot-alloc — the cell key, built only while windowed
+     metrics are enabled (they are off unless a run asks for them). *)
+  let key = (name, node, w) in
+  match Ktbl.find t.counters key with
+  | r -> r := !r + by
+  | exception Not_found ->
+      (* manethot: allow hot-alloc — one ref per new (name, node, window)
+         cell, not per increment. *)
+      Ktbl.add t.counters key (ref by)
+
 let record t ~node ?(by = 1) name =
   if t.enabled then begin
     let w = widx t in
-    let bump node =
-      let key = (name, node, w) in
-      match Hashtbl.find_opt t.counters key with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.add t.counters key (ref by)
-    in
-    bump node;
-    if node <> global_node then bump global_node
+    bump t name node w by;
+    if node <> global_node then bump t name global_node w by
   end
 
 let observe t ~node name x =
@@ -56,13 +72,13 @@ let observe t ~node name x =
     let add node =
       let key = (name, node, w) in
       let s =
-        match Hashtbl.find_opt t.series key with
+        match Ktbl.find_opt t.series key with
         | Some s -> s
         | None ->
             let s =
               { s_count = 0; s_sum = 0.0; s_min = infinity; s_max = neg_infinity }
             in
-            Hashtbl.add t.series key s;
+            Ktbl.add t.series key s;
             s
       in
       s.s_count <- s.s_count + 1;
@@ -75,7 +91,7 @@ let observe t ~node name x =
   end
 
 let counter_total t ~node name =
-  Hashtbl.fold
+  Ktbl.fold
     (fun (n, nd, _) r acc ->
       if String.equal n name && nd = node then acc + !r else acc)
     t.counters 0
@@ -88,7 +104,7 @@ let compare_key (na, ia, wa) (nb, ib, wb) =
   | c -> c
 
 let sorted_cells tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Ktbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
 let window_start t w = Json.float_str (float_of_int w *. t.win)

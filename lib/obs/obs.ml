@@ -1,4 +1,5 @@
 module Engine = Manet_sim.Engine
+module Trace = Manet_sim.Trace
 
 let schema = "manetsim-trace"
 let schema_version = 1
@@ -130,6 +131,8 @@ let lookup t key = Hashtbl.find_opt t.corr key
 
 let set_capture t on = t.capture <- on
 
+let logging t = t.capture || Trace.is_enabled (Engine.trace t.engine)
+
 let log t ~node ~event ~detail =
   (* The ring-buffer Trace stays one sink (honouring its own enable
      switch); capture adds the JSONL sink on top. *)
@@ -140,6 +143,8 @@ let log t ~node ~event ~detail =
       t.events_dropped <- t.events_dropped + 1
     end;
     Queue.push
+      (* manethot: allow hot-alloc — the captured event is the sink's
+         payload; the transmit path logs only behind [logging]. *)
       { time = Engine.now t.engine; node; name = event; detail }
       t.events
   end

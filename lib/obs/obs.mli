@@ -114,6 +114,12 @@ val log : t -> node:int -> event:string -> detail:string -> unit
 val set_capture : t -> bool -> unit
 (** JSONL event capture; default off (spans are always recorded). *)
 
+val logging : t -> bool
+(** Whether {!log} reaches any sink: the engine's ring trace is enabled
+    or JSONL capture is on.  When false, {!log} is a no-op, so callers
+    that build an event's detail text should build it only when this
+    holds. *)
+
 val events : t -> event list
 val events_dropped : t -> int
 

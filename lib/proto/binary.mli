@@ -20,6 +20,12 @@
 
 val encode : Messages.t -> string
 
+val encoded_length : Messages.t -> int
+(** [String.length (encode m)], computed in closed form: a walk over the
+    same field layout that counts bytes without building the encoding.
+    Raises [Invalid_argument] exactly when {!encode} would (a string or
+    list longer than a u16 prefix can count). *)
+
 val decode : string -> (Messages.t, string) result
 
 val equal_message : Messages.t -> Messages.t -> bool

@@ -164,6 +164,46 @@ let tag = function
   | Ip_change_proof _ -> "ip_change_proof"
   | Ip_change_ack _ -> "ip_change_ack"
 
+(* The per-kind transmit counter keys, spelled out so every send reuses
+   one static string instead of concatenating ["tx." ^ tag m]. *)
+let tx_key = function
+  | Areq _ -> "tx.areq"
+  | Arep _ -> "tx.arep"
+  | Drep _ -> "tx.drep"
+  | Rreq _ -> "tx.rreq"
+  | Rrep _ -> "tx.rrep"
+  | Crep _ -> "tx.crep"
+  | Rerr _ -> "tx.rerr"
+  | Data _ -> "tx.data"
+  | Ack _ -> "tx.ack"
+  | Probe _ -> "tx.probe"
+  | Probe_reply _ -> "tx.probe_reply"
+  | Name_query _ -> "tx.name_query"
+  | Name_reply _ -> "tx.name_reply"
+  | Ip_change_request _ -> "tx.ip_change_request"
+  | Ip_change_challenge _ -> "tx.ip_change_challenge"
+  | Ip_change_proof _ -> "tx.ip_change_proof"
+  | Ip_change_ack _ -> "tx.ip_change_ack"
+
+let txbytes_key = function
+  | Areq _ -> "txbytes.areq"
+  | Arep _ -> "txbytes.arep"
+  | Drep _ -> "txbytes.drep"
+  | Rreq _ -> "txbytes.rreq"
+  | Rrep _ -> "txbytes.rrep"
+  | Crep _ -> "txbytes.crep"
+  | Rerr _ -> "txbytes.rerr"
+  | Data _ -> "txbytes.data"
+  | Ack _ -> "txbytes.ack"
+  | Probe _ -> "txbytes.probe"
+  | Probe_reply _ -> "txbytes.probe_reply"
+  | Name_query _ -> "txbytes.name_query"
+  | Name_reply _ -> "txbytes.name_reply"
+  | Ip_change_request _ -> "txbytes.ip_change_request"
+  | Ip_change_challenge _ -> "txbytes.ip_change_challenge"
+  | Ip_change_proof _ -> "txbytes.ip_change_proof"
+  | Ip_change_ack _ -> "txbytes.ip_change_ack"
+
 let remaining = function
   | Areq _ -> None
   | Arep m -> Some m.remaining
@@ -183,6 +223,9 @@ let remaining = function
   | Ip_change_proof m -> Some m.remaining
   | Ip_change_ack m -> Some m.remaining
 
+(* manethot: allow hot-alloc — one record per source-routed send is
+   inherent: messages are immutable, and each hop's copy carries its own
+   remaining route. *)
 let with_remaining msg hops =
   match msg with
   | Areq _ -> msg
@@ -203,9 +246,15 @@ let with_remaining msg hops =
   | Ip_change_proof m -> Ip_change_proof { m with remaining = hops }
   | Ip_change_ack m -> Ip_change_ack { m with remaining = hops }
 
-let pp_route fmt route =
-  Format.fprintf fmt "[%s]" (String.concat ";" (List.map Address.to_string route))
+let rec pp_hops fmt = function
+  | [] -> ()
+  | [ a ] -> Address.pp fmt a
+  | a :: rest -> Format.fprintf fmt "%a;%a" Address.pp a pp_hops rest
 
+let pp_route fmt route = Format.fprintf fmt "[%a]" pp_hops route
+
+(* manethot: allow hot-alloc hot-list — trace text: the transmit path
+   reaches it only when a log sink is live (Obs.logging). *)
 let pp fmt msg =
   match msg with
   | Areq m ->

@@ -169,6 +169,14 @@ type t =
 val tag : t -> string
 (** Short lowercase tag ("areq", "rrep", ...) for stats and traces. *)
 
+val tx_key : t -> string
+(** ["tx." ^ tag m], the per-kind transmission counter, as a static
+    string (no allocation per send). *)
+
+val txbytes_key : t -> string
+(** ["txbytes." ^ tag m], the per-kind transmitted-bytes counter, as a
+    static string. *)
+
 val remaining : t -> Address.t list option
 (** The source-route hops left, or [None] for flooded messages (AREQ). *)
 

@@ -43,7 +43,9 @@ let observe t name v =
   Stats.observe (Engine.stats t.engine) name v;
   Metrics.observe (Obs.metrics t.obs) ~node:(node_id t) name v
 
-let log t ~event ~detail = Obs.log t.obs ~node:(node_id t) ~event ~detail
+let log t ~event ~detail =
+  if Obs.logging t.obs then
+    Obs.log t.obs ~node:(node_id t) ~event ~detail:(detail ())
 
 let audit t ~kind ?subject ?subject_node ?(stats = []) ~cause () =
   List.iter (fun name -> stat t name) stats;
@@ -56,36 +58,50 @@ let audit t ~kind ?subject ?subject_node ?(stats = []) ~cause () =
   Audit.emit (Obs.audit t.obs) ~kind ~node:(node_id t) ?subject_node
     ?subject_addr ~cause ()
 
+let count_tx t msg size =
+  stat t (Messages.tx_key msg);
+  stat_by t (Messages.txbytes_key msg) size
+
+(* Trace line of one broadcast.  manethot: allow hot-alloc — trace text:
+   the transmit helpers call this only when [Obs.logging] holds, so with
+   every sink off a send formats nothing. *)
+let log_broadcast t msg =
+  Obs.log t.obs ~node:(node_id t) ~event:(Messages.tx_key msg)
+    ~detail:(Format.asprintf "broadcast %a" Messages.pp msg)
+
+(* Trace line of one unicast hop.  manethot: allow hot-alloc — trace
+   text, built only when [Obs.logging] holds (see [log_broadcast]). *)
+let log_unicast t ~next msg =
+  Obs.log t.obs ~node:(node_id t) ~event:(Messages.tx_key msg)
+    ~detail:(Format.asprintf "to %a: %a" Address.pp next Messages.pp msg)
+
 let broadcast t msg =
-  let tag = Messages.tag msg in
   let size = size_of t msg in
-  stat t ("tx." ^ tag);
-  stat_by t ("txbytes." ^ tag) size;
-  log t ~event:("tx." ^ tag) ~detail:(Format.asprintf "broadcast %a" Messages.pp msg);
+  count_tx t msg size;
+  if Obs.logging t.obs then log_broadcast t msg;
   Net.broadcast t.net ~src:(node_id t) ~size msg
+
+let rec unicast_each t ~size ~on_fail msg = function
+  | [] -> ()
+  | dst :: rest ->
+      Net.unicast t.net ~src:(node_id t) ~dst ~size ~on_fail msg;
+      unicast_each t ~size ~on_fail msg rest
 
 let send_along t ~path ?(on_fail = fun () -> ()) msg =
   match path with
   | [] -> invalid_arg "Node_ctx.send_along: empty path"
   | next :: _ -> (
       let msg = Messages.with_remaining msg path in
-      let tag = Messages.tag msg in
-      stat t ("tx." ^ tag);
-      stat_by t ("txbytes." ^ tag) (size_of t msg);
-      log t ~event:("tx." ^ tag)
-        ~detail:(Format.asprintf "to %a: %a" Address.pp next Messages.pp msg);
+      let size = size_of t msg in
+      count_tx t msg size;
+      if Obs.logging t.obs then log_unicast t ~next msg;
       match Directory.lookup_all t.directory next with
       | [] ->
           (* The next-hop address resolves to nobody: the neighbour is
              gone (address changed or node left).  Behaves like a MAC
              failure after the retries' worth of time. *)
           Engine.schedule t.engine ~label:"net" ~delay:0.01 on_fail
-      | claimants ->
-          let size = size_of t msg in
-          List.iter
-            (fun dst ->
-              Net.unicast t.net ~src:(node_id t) ~dst ~size ~on_fail msg)
-            claimants)
+      | claimants -> unicast_each t ~size ~on_fail msg claimants)
 
 let rec forward_transit t ~src msg =
   deliver_up t ~src msg

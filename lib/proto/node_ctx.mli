@@ -52,9 +52,11 @@ val stat : t -> string -> unit
     node's current metric window. *)
 
 val observe : t -> string -> float -> unit
-val log : t -> event:string -> detail:string -> unit
+val log : t -> event:string -> detail:(unit -> string) -> unit
 (** Telemetry event for this node, fanned out through {!Obs.log} (ring
-    trace always; JSONL sink when capture is on). *)
+    trace when enabled; JSONL sink when capture is on).  [detail] is
+    called only when {!Obs.logging} holds, so with every sink off no
+    detail text is built. *)
 
 val audit :
   t ->

@@ -1,9 +1,14 @@
 (** Wire-size model of every protocol message.
 
-    The simulator never serializes messages on the hot path, but every
-    transmission is charged the exact number of bytes the {!Binary} codec
-    produces for that message, plus a 40-byte IPv6 header and minus the
-    simulation-only metadata (the [sent_at] float of Data/Ack).  The
+    Every transmission is charged the exact number of bytes the
+    {!Binary} codec produces for that message, plus a 40-byte IPv6
+    header and minus the simulation-only metadata (the [sent_at] float
+    of Data/Ack).  The codec's length comes from {!Binary.encoded_length},
+    a closed-form walk over the encoding's field layout, so no message is
+    serialized to be measured: the cost is one pass over the message's
+    route lists and SRR, with no allocation.  A qcheck property in
+    [test/test_binary.ml] pins [encoded_length m = String.length
+    (Binary.encode m)] for every message variant.  The
     overhead experiment (E2) and the Table 1 regeneration therefore
     report precisely the bytes a deployment of this codec would put on
     the air — including the fact that protocols carrying empty signature

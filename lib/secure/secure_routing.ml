@@ -334,7 +334,8 @@ and finish_probe t session =
           ();
         Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.ctx)
           ("suspect " ^ Address.to_string suspect);
-        Ctx.log t.ctx ~event:"secure.suspect" ~detail:(Address.to_string suspect);
+        Ctx.log t.ctx ~event:"secure.suspect"
+          ~detail:(fun () -> Address.to_string suspect);
         Credit.slash t.credits suspect;
         ignore (Route_cache.remove_containing t.cache suspect);
         (* The hop before the suspect may be the one silently dropping;
@@ -366,7 +367,8 @@ and finish_probe t session =
             ();
           Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.ctx)
             ("last-hop suspect " ^ Address.to_string suspect);
-          Ctx.log t.ctx ~event:"secure.suspect" ~detail:(Address.to_string suspect);
+          Ctx.log t.ctx ~event:"secure.suspect"
+            ~detail:(fun () -> Address.to_string suspect);
           Credit.slash t.credits suspect;
           ignore (Route_cache.remove_containing t.cache suspect)
         end);

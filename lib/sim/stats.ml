@@ -34,28 +34,39 @@ type summary = {
   max : float;
 }
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  accs : (string, acc) Hashtbl.t;
-}
+(* Name-keyed tables use a monomorphic string hash: the generic
+   [Hashtbl] would hash and compare names through the polymorphic
+   primitives on every increment.  Bucket order never leaks: every
+   listing below is sorted by name. *)
+module Stbl = Hashtbl.Make (struct
+  type t = string
 
-let create () = { counters = Hashtbl.create 32; accs = Hashtbl.create 32 }
+  let equal = String.equal
+  let hash = String.hash
+end)
+
+type t = { counters : int ref Stbl.t; accs : acc Stbl.t }
+
+let create () = { counters = Stbl.create 32; accs = Stbl.create 32 }
 
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t.counters name (ref by)
+  match Stbl.find t.counters name with
+  | r -> r := !r + by
+  | exception Not_found ->
+      (* manethot: allow hot-alloc — one ref per distinct counter name
+         over the whole run, not per increment. *)
+      Stbl.add t.counters name (ref by)
 
 let get t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+  match Stbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
+  Stbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let observe t name x =
   let acc =
-    match Hashtbl.find_opt t.accs name with
+    match Stbl.find_opt t.accs name with
     | Some a -> a
     | None ->
         let a =
@@ -70,7 +81,7 @@ let observe t name x =
             lcg = 0x2545F491 + (fnv1a name land 0xFFFF);
           }
         in
-        Hashtbl.add t.accs name a;
+        Stbl.add t.accs name a;
         a
   in
   acc.count <- acc.count + 1;
@@ -100,17 +111,17 @@ let summary_of_acc (a : acc) =
   }
 
 let summary t name =
-  match Hashtbl.find_opt t.accs name with
+  match Stbl.find_opt t.accs name with
   | Some a when a.count > 0 -> Some (summary_of_acc a)
   | _ -> None
 
 let summaries t =
-  Hashtbl.fold (fun k a acc -> (k, summary_of_acc a) :: acc) t.accs []
+  Stbl.fold (fun k a acc -> (k, summary_of_acc a) :: acc) t.accs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let percentile t name q =
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.percentile: q outside [0,1]";
-  match Hashtbl.find_opt t.accs name with
+  match Stbl.find_opt t.accs name with
   | Some a when a.stored > 0 ->
       let sorted = Array.sub a.reservoir 0 a.stored in
       Array.sort Float.compare sorted;
@@ -136,5 +147,5 @@ let delta ~(before : snapshot) ~(after : snapshot) : snapshot =
     after
 
 let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.accs
+  Stbl.reset t.counters;
+  Stbl.reset t.accs

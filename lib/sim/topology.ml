@@ -86,17 +86,23 @@ let is_connected t ~range =
   !count = n
 
 exception
-  No_connected_placement of { n : int; range : float; attempts : int }
+  No_connected_placement of {
+    n : int;
+    width : float;
+    height : float;
+    range : float;
+    attempts : int;
+  }
 
 let () =
   Printexc.register_printer (function
-    | No_connected_placement { n; range; attempts } ->
+    | No_connected_placement { n; width; height; range; attempts } ->
         Some
           (Printf.sprintf
-             "Topology.No_connected_placement (n=%d, range=%g, attempts=%d): \
-              no connected placement found; enlarge the radio range or \
-              shrink the field"
-             n range attempts)
+             "Topology.No_connected_placement (n=%d, field=%gx%g, range=%g, \
+              attempts=%d): no connected placement found; enlarge the radio \
+              range or shrink the field"
+             n width height range attempts)
     | _ -> None)
 
 let max_placement_attempts = 1000
@@ -105,7 +111,8 @@ let random_connected g ~n ~width ~height ~range =
   let rec attempt k =
     if k = 0 then
       raise
-        (No_connected_placement { n; range; attempts = max_placement_attempts })
+        (No_connected_placement
+           { n; width; height; range; attempts = max_placement_attempts })
     else begin
       let t = random g ~n ~width ~height in
       if is_connected t ~range then t else attempt (k - 1)

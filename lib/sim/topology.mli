@@ -38,11 +38,17 @@ val is_connected : t -> range:float -> bool
 (** Whether the unit-disk graph over all nodes is a single component. *)
 
 exception
-  No_connected_placement of { n : int; range : float; attempts : int }
+  No_connected_placement of {
+    n : int;
+    width : float;
+    height : float;
+    range : float;
+    attempts : int;
+  }
 (** Raised by {!random_connected} when no connected placement was found:
     the requested node count / radio range / field size make connectivity
-    overwhelmingly unlikely.  Carries the node count, the radio range,
-    and how many placements were tried. *)
+    overwhelmingly unlikely.  Carries the node count, the field size, the
+    radio range, and how many placements were tried. *)
 
 (* manetsem: allow dead-export — documented bound referenced by the
    [Disconnected] error message; part of the generator's contract. *)

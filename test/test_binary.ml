@@ -158,6 +158,47 @@ let per_variant_roundtrips =
         (arb_of mk) roundtrips)
     variant_gens
 
+(* --- closed-form length ---------------------------------------------- *)
+
+let per_variant_lengths =
+  List.map
+    (fun (name, mk) ->
+      qtest ~count:200
+        (Printf.sprintf "binary: %s encoded_length = length of encode" name)
+        (arb_of mk)
+        (fun m -> Binary.encoded_length m = String.length (Binary.encode m)))
+    variant_gens
+
+let test_length_range_check () =
+  (* A field too long for its u16 prefix makes both functions raise. *)
+  let a = Address.of_string_exn "fec0::1" in
+  let m =
+    Messages.Drep
+      { sip = a; dn = String.make 0x10000 'x'; rr = []; remaining = [];
+        sig_ = "" }
+  in
+  let raises f =
+    match ignore (f m) with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "encode raises" true (raises Binary.encode);
+  Alcotest.(check bool) "encoded_length raises" true
+    (raises Binary.encoded_length)
+
+let test_tx_keys () =
+  (* The interned counter keys spell exactly "tx." / "txbytes." ^ tag. *)
+  let g = Prng.create ~seed:77 in
+  List.iter
+    (fun (name, mk) ->
+      let m = mk g in
+      Alcotest.(check string) (name ^ " tx key") ("tx." ^ Messages.tag m)
+        (Messages.tx_key m);
+      Alcotest.(check string) (name ^ " txbytes key")
+        ("txbytes." ^ Messages.tag m)
+        (Messages.txbytes_key m))
+    variant_gens
+
 let test_wire_tags_distinct () =
   (* Every constructor must claim its own wire tag: generate one value
      per variant and check the leading tag bytes are pairwise distinct. *)
@@ -262,8 +303,11 @@ let test_known_encoding_stable () =
 let suites =
   [
     ( "proto.binary",
-      per_variant_roundtrips
+      per_variant_roundtrips @ per_variant_lengths
       @ [
+          Alcotest.test_case "length range check" `Quick
+            test_length_range_check;
+          Alcotest.test_case "interned tx keys" `Quick test_tx_keys;
           Alcotest.test_case "wire tags distinct" `Quick test_wire_tags_distinct;
           prop_roundtrip;
           prop_truncation_rejected;

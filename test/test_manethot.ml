@@ -181,6 +181,40 @@ let test_annotation_suppresses () =
          let hot2 x = [ x ]\n" );
     ]
 
+let test_binding_scoped_allow () =
+  clean "allow directly above a binding covers all of it" "hot-alloc"
+    [
+      ( "lib/x/m.ml",
+        "(* manethot: allow hot-alloc — fixture: one rationale for every \
+         arm. *)\n\
+         let hot x =\n\
+        \  let a = (x, x) in\n\
+        \  let b = (a, a) in\n\
+        \  [ a; b ]\n" );
+    ];
+  fires "the binding scope stops at the binding" "hot-alloc"
+    [
+      ( "lib/x/m.ml",
+        "let helper x = (x, x)\n\
+         (* manethot: allow hot-alloc — fixture: covers hot only. *)\n\
+         let hot x = helper x\n" );
+    ];
+  fires "a blank line keeps the line scope" "hot-alloc"
+    [
+      ( "lib/x/m.ml",
+        "(* manethot: allow hot-alloc — fixture: detached comment. *)\n\
+         \n\
+         let hot x =\n\
+        \  let a = (x, x) in\n\
+        \  (a, a)\n" );
+    ];
+  fires "the binding scope is per rule" "hot-list"
+    [
+      ( "lib/x/m.ml",
+        "(* manethot: allow hot-alloc — fixture: allocation only. *)\n\
+         let hot xs = List.length xs\n" );
+    ]
+
 let test_annotation_requires_rationale () =
   let files =
     [
@@ -236,6 +270,8 @@ let suites =
         Alcotest.test_case "roster errors" `Quick test_roster_errors;
         Alcotest.test_case "annotations suppress" `Quick
           test_annotation_suppresses;
+        Alcotest.test_case "binding-scoped allow" `Quick
+          test_binding_scoped_allow;
         Alcotest.test_case "annotations need rationale" `Quick
           test_annotation_requires_rationale;
         Alcotest.test_case "baseline plumbing" `Quick test_baseline;

@@ -7,4 +7,4 @@ let () =
    @ Test_manetsem.suites @ Test_manetdom.suites @ Test_manethot.suites
    @ Test_sweep.suites
    @ Test_scenario.suites @ Test_perf.suites @ Test_timeline.suites
-   @ Test_trace_golden.suites)
+   @ Test_trace_golden.suites @ Test_cli.suites)

@@ -374,6 +374,15 @@ let analyze_binding ~emit b =
 (* ------------------------------------------------------------------ *)
 (* Assembly. *)
 
+(* An [allow] whose comment ends on the line directly above a top-level
+   binding covers the whole binding: one annotation for a function whose
+   every finding shares one rationale, such as a per-variant record
+   rebuild.  Elsewhere an allow covers its own lines and the next. *)
+let binding_allowed b rule =
+  List.exists
+    (fun (r, _, below) -> r = rule && below = b.b_line)
+    b.b_unit.u_allows.a_ranges
+
 let fn_table bindings =
   let fn_tbl = Hashtbl.create 256 in
   List.iter
@@ -422,7 +431,8 @@ let analyze ~roster files =
     (fun b ->
       if Hashtbl.mem hot (b.b_mod, b.b_name) && is_function b.b_expr then
         let emit line rule msg =
-          out := { file = b.b_unit.u_path; line; rule; msg } :: !out
+          if not (binding_allowed b rule) then
+            out := { file = b.b_unit.u_path; line; rule; msg } :: !out
         in
         analyze_binding ~emit b)
     bindings;

@@ -38,7 +38,9 @@
     directive [(* manethot: allow <rules> — rationale *)] may sit
     anywhere in a comment and {e must} carry a prose rationale after
     the rule names; a bare directive is itself an unsuppressible
-    ["annotation"] finding. *)
+    ["annotation"] finding.  A directive covers its comment's lines and
+    the line below; when that line starts a top-level binding, it
+    covers the whole binding. *)
 
 type finding = Analyzer_common.Common.finding = {
   file : string;
