@@ -251,67 +251,68 @@ let rec srr_len n bytes = function
         rest
 
 let encoded_length msg =
-  tag_len
-  +
-  match msg with
-  | M.Areq { dn; rr; _ } ->
-      addr_len + u32_len + opt_string_len dn + u64_len + route_len rr
-  | M.Arep { rr; remaining; sig_; pk; _ } ->
-      addr_len + route_len rr + route_len remaining + string_len sig_
-      + string_len pk + u64_len
-  | M.Drep { dn; rr; remaining; sig_; _ } ->
-      addr_len + string_len dn + route_len rr + route_len remaining
-      + string_len sig_
-  | M.Rreq { srr; sig_; spk; _ } ->
-      (2 * addr_len) + u32_len + srr_len 0 0 srr + string_len sig_
-      + string_len spk + u64_len
-  | M.Rrep { rr; remaining; sig_; dpk; _ } ->
-      (2 * addr_len) + route_len rr + route_len remaining + string_len sig_
-      + string_len dpk + u64_len
-  | M.Crep
-      {
-        rr_to_cacher;
-        rr_to_dest;
-        remaining;
-        sig_cacher;
-        cacher_pk;
-        sig_dest;
-        dest_pk;
-        _;
-      } ->
-      (3 * addr_len) + (2 * u32_len) + route_len rr_to_cacher
-      + route_len rr_to_dest + route_len remaining + string_len sig_cacher
-      + string_len cacher_pk + u64_len + string_len sig_dest
-      + string_len dest_pk + u64_len
-  | M.Rerr { remaining; sig_; pk; _ } ->
-      (3 * addr_len) + route_len remaining + string_len sig_ + string_len pk
-      + u64_len
-  | M.Data { route; remaining; _ } ->
-      (2 * addr_len) + u32_len + route_len route + route_len remaining
-      + u32_len + u64_len
-  | M.Ack { route; remaining; _ } ->
-      (2 * addr_len) + u32_len + route_len route + route_len remaining
-      + u64_len
-  | M.Probe { route; remaining; _ } ->
-      (2 * addr_len) + u32_len + route_len route + route_len remaining
-  | M.Probe_reply { remaining; sig_; pk; _ } ->
-      (2 * addr_len) + u32_len + route_len remaining + string_len sig_
-      + string_len pk + u64_len
-  | M.Name_query { name; route; remaining; _ } ->
-      addr_len + string_len name + u64_len + route_len route
-      + route_len remaining
-  | M.Name_reply { name; result; remaining; sig_; _ } ->
-      addr_len + string_len name + opt_addr_len result + u64_len
-      + route_len remaining + string_len sig_
-  | M.Ip_change_request { route; remaining; _ } ->
-      (2 * addr_len) + route_len route + route_len remaining
-  | M.Ip_change_challenge { remaining; _ } ->
-      (2 * addr_len) + u64_len + route_len remaining
-  | M.Ip_change_proof { pk; sig_; route; remaining; _ } ->
-      (2 * addr_len) + (2 * u64_len) + string_len pk + string_len sig_
-      + route_len route + route_len remaining
-  | M.Ip_change_ack { remaining; _ } ->
-      (2 * addr_len) + 1 + route_len remaining
+  let body =
+    match msg with
+    | M.Areq { dn; rr; _ } ->
+        addr_len + u32_len + opt_string_len dn + u64_len + route_len rr
+    | M.Arep { rr; remaining; sig_; pk; _ } ->
+        addr_len + route_len rr + route_len remaining + string_len sig_
+        + string_len pk + u64_len
+    | M.Drep { dn; rr; remaining; sig_; _ } ->
+        addr_len + string_len dn + route_len rr + route_len remaining
+        + string_len sig_
+    | M.Rreq { srr; sig_; spk; _ } ->
+        (2 * addr_len) + u32_len + srr_len 0 0 srr + string_len sig_
+        + string_len spk + u64_len
+    | M.Rrep { rr; remaining; sig_; dpk; _ } ->
+        (2 * addr_len) + route_len rr + route_len remaining + string_len sig_
+        + string_len dpk + u64_len
+    | M.Crep
+        {
+          rr_to_cacher;
+          rr_to_dest;
+          remaining;
+          sig_cacher;
+          cacher_pk;
+          sig_dest;
+          dest_pk;
+          _;
+        } ->
+        (3 * addr_len) + (2 * u32_len) + route_len rr_to_cacher
+        + route_len rr_to_dest + route_len remaining + string_len sig_cacher
+        + string_len cacher_pk + u64_len + string_len sig_dest
+        + string_len dest_pk + u64_len
+    | M.Rerr { remaining; sig_; pk; _ } ->
+        (3 * addr_len) + route_len remaining + string_len sig_ + string_len pk
+        + u64_len
+    | M.Data { route; remaining; _ } ->
+        (2 * addr_len) + u32_len + route_len route + route_len remaining
+        + u32_len + u64_len
+    | M.Ack { route; remaining; _ } ->
+        (2 * addr_len) + u32_len + route_len route + route_len remaining
+        + u64_len
+    | M.Probe { route; remaining; _ } ->
+        (2 * addr_len) + u32_len + route_len route + route_len remaining
+    | M.Probe_reply { remaining; sig_; pk; _ } ->
+        (2 * addr_len) + u32_len + route_len remaining + string_len sig_
+        + string_len pk + u64_len
+    | M.Name_query { name; route; remaining; _ } ->
+        addr_len + string_len name + u64_len + route_len route
+        + route_len remaining
+    | M.Name_reply { name; result; remaining; sig_; _ } ->
+        addr_len + string_len name + opt_addr_len result + u64_len
+        + route_len remaining + string_len sig_
+    | M.Ip_change_request { route; remaining; _ } ->
+        (2 * addr_len) + route_len route + route_len remaining
+    | M.Ip_change_challenge { remaining; _ } ->
+        (2 * addr_len) + u64_len + route_len remaining
+    | M.Ip_change_proof { pk; sig_; route; remaining; _ } ->
+        (2 * addr_len) + (2 * u64_len) + string_len pk + string_len sig_
+        + route_len route + route_len remaining
+    | M.Ip_change_ack { remaining; _ } ->
+        (2 * addr_len) + 1 + route_len remaining
+  in
+  tag_len + body
 
 (* --- decoding ------------------------------------------------------------ *)
 

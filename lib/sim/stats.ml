@@ -38,12 +38,7 @@ type summary = {
    [Hashtbl] would hash and compare names through the polymorphic
    primitives on every increment.  Bucket order never leaks: every
    listing below is sorted by name. *)
-module Stbl = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = String.hash
-end)
+module Stbl = Hashtbl.Make (String)
 
 type t = { counters : int ref Stbl.t; accs : acc Stbl.t }
 

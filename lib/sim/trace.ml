@@ -1,12 +1,7 @@
 type entry = { time : float; node : int; event : string; detail : string }
 
 (* Tag-keyed index with a monomorphic string hash. *)
-module Stbl = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = String.hash
-end)
+module Stbl = Hashtbl.Make (String)
 
 type t = {
   mutable enabled : bool;

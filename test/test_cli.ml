@@ -2,7 +2,9 @@
    must end in one CLI error line and a non-zero exit, never in an
    uncaught exception with a backtrace. *)
 
-let manetsim = "../bin/manetsim.exe"
+(* The CLI binary sits beside this test's build directory. *)
+let manetsim =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/manetsim.exe"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
