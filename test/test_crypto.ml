@@ -521,6 +521,33 @@ let test_rsa_determinism () =
   in
   Alcotest.(check string) "reproducible" (gen 99) (gen 99)
 
+(* Pins the exact bytes of keys and signatures across changes to the
+   bignum arithmetic: an RSA value is unique, so any correct rewrite of
+   the exponentiation must reproduce this digest.  Keys come from fixed
+   seeds; message [i] (of length [i]) is signed by key [i mod 6]. *)
+let pinned_signatures_digest =
+  "71f2361b8d799c8bd565e6ca9f8001cc34f58413156e0bb91ea2c9e9ace586d9"
+
+let test_rsa_pinned_signatures () =
+  let keys =
+    List.map
+      (fun (seed, bits) -> Rsa.generate (Prng.create ~seed) ~bits)
+      [ (1001, 512); (1002, 512); (1003, 512); (1004, 512); (1005, 256); (1006, 1024) ]
+    |> Array.of_list
+  in
+  let h = Sha256.init () in
+  Array.iter (fun (pub, _) -> Sha256.update h (Rsa.public_key_to_bytes pub)) keys;
+  for i = 1 to 200 do
+    let msg = String.init i (fun j -> Char.chr (((i * 31) + (j * 7)) land 0xFF)) in
+    let pub, priv = keys.(i mod Array.length keys) in
+    let signature = Rsa.sign priv msg in
+    Alcotest.(check string) "crt = direct" (Rsa.sign_no_crt priv msg) signature;
+    Alcotest.(check bool) "verifies" true (Rsa.verify pub ~msg ~signature);
+    Sha256.update h signature
+  done;
+  Alcotest.(check string) "pinned digest" pinned_signatures_digest
+    (Sha256.hex (Sha256.finalize h))
+
 (* ------------------------------------------------------------------ *)
 (* Mock signatures and the suite interface                            *)
 (* ------------------------------------------------------------------ *)
@@ -638,6 +665,7 @@ let suites =
         Alcotest.test_case "pk serialization" `Quick test_rsa_pk_serialization;
         Alcotest.test_case "crt matches direct" `Quick test_rsa_crt_matches_direct;
         Alcotest.test_case "determinism" `Quick test_rsa_determinism;
+        Alcotest.test_case "pinned signatures" `Quick test_rsa_pinned_signatures;
       ] );
     ( "crypto.suite",
       [
