@@ -1,17 +1,16 @@
-(* Sign-magnitude bignums over 26-bit limbs stored little-endian in int
-   arrays.  26 bits keeps every intermediate product (2^52) and the
-   double-limb dividends of Knuth division well inside OCaml's 63-bit
-   native integers.
+(* Sign-magnitude bignums over 30-bit limbs stored little-endian in int
+   arrays.  30 bits keeps every bound inside OCaml's 63-bit native ints:
+   a limb product is < 2^60, a column sum t + a*b + c is < 2^60, and
+   Knuth division's qhat*v and rhat*base stay < 2^61.
 
-   manethot: allow-file hot-alloc hot-poly — arbitrary-precision
-   arithmetic allocates a fresh limb array per result by design (values
-   are immutable, and the working refs/loops below are the limb-school
-   algorithms themselves); the verify path pays for one modular
-   exponentiation per signature, which the perf registry accounts as a
-   single crypto op, so per-limb allocation here is not a per-event
-   cost. *)
+   manethot: allow-file hot-alloc hot-poly — values are immutable, so
+   each signed operation allocates its result's limb array; the working
+   refs/loops below are the limb-school algorithms themselves.  The
+   exponentiation that dominates signing and verifying allocates one
+   scratch array, its window table and its result per call, and no
+   Montgomery product allocates. *)
 
-let base_bits = 26
+let base_bits = 30
 let base = 1 lsl base_bits
 let limb_mask = base - 1
 
@@ -124,9 +123,8 @@ let mul_mag_school a b =
         r.(i + j) <- v land limb_mask;
         carry := v lsr base_bits
       done;
-      (* Propagate the final carry; it can exceed one limb only when the
-         accumulated column overflows, which a single limb absorbs here
-         because ai*bj + r + carry < 2^52 + 2^27. *)
+      (* Propagate the final carry; r + ai*bj + carry <= (base-1)^2 +
+         2(base-1) < 2^60, so the carry is always below one limb. *)
       let k = ref (i + lb) in
       while !carry <> 0 do
         let v = r.(!k) + !carry in
@@ -359,25 +357,43 @@ let testbit n i =
 
 (* --- conversions ------------------------------------------------------ *)
 
-let of_bytes_be s =
-  let acc = ref zero in
-  String.iter
-    (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c)))
-    s;
-  !acc
+(* [bits_at mag pos w] is the [w]-bit field (w <= base_bits) of the
+   magnitude [mag] starting at bit [pos]; bits past the top read as 0. *)
+let bits_at mag pos w =
+  let limb = pos / base_bits and off = pos mod base_bits in
+  let len = Array.length mag in
+  if limb >= len then 0
+  else begin
+    let v = mag.(limb) lsr off in
+    let v =
+      if off + w > base_bits && limb + 1 < len then
+        v lor (mag.(limb + 1) lsl (base_bits - off))
+      else v
+    in
+    v land ((1 lsl w) - 1)
+  end
+
+(* The unsigned value of [len] big-endian [w]-bit digits, [digit i] being
+   the i-th from the most significant, packed straight into limbs. *)
+let of_digits_be ~w len digit =
+  let mag = Array.make (((len * w) + base_bits - 1) / base_bits) 0 in
+  for i = 0 to len - 1 do
+    let v = digit (len - 1 - i) in
+    let pos = i * w in
+    let limb = pos / base_bits and off = pos mod base_bits in
+    mag.(limb) <- mag.(limb) lor ((v lsl off) land limb_mask);
+    if off + w > base_bits then
+      mag.(limb + 1) <- mag.(limb + 1) lor (v lsr (base_bits - off))
+  done;
+  normalize 1 mag
+
+let of_bytes_be s = of_digits_be ~w:8 (String.length s) (fun i -> Char.code s.[i])
 
 let to_bytes_be ?(pad = 0) n =
-  let nb = numbits n in
-  let len = max pad ((nb + 7) / 8) in
-  let len = max len 1 in
-  let b = Bytes.make len '\000' in
+  let len = max 1 (max pad ((numbits n + 7) / 8)) in
+  let b = Bytes.create len in
   for i = 0 to len - 1 do
-    let bit = (len - 1 - i) * 8 in
-    let byte = ref 0 in
-    for j = 7 downto 0 do
-      byte := (!byte lsl 1) lor (if testbit n (bit + j) then 1 else 0)
-    done;
-    Bytes.set b i (Char.chr !byte)
+    Bytes.set b (len - 1 - i) (Char.chr (bits_at n.mag (8 * i) 8))
   done;
   Bytes.unsafe_to_string b
 
@@ -419,34 +435,19 @@ let to_string n =
   end
 
 let of_hex s =
-  let acc = ref zero in
-  String.iter
-    (fun c ->
-      let v =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> invalid_arg "Bignum.of_hex: bad digit"
-      in
-      acc := add (shift_left !acc 4) (of_int v))
-    s;
-  !acc
+  of_digits_be ~w:4 (String.length s) (fun i ->
+      match s.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> invalid_arg "Bignum.of_hex: bad digit")
 
 let to_hex n =
   if n.sign = 0 then "0"
   else begin
-    let nb = numbits n in
-    let digits = (nb + 3) / 4 in
-    let buf = Buffer.create digits in
-    for i = digits - 1 downto 0 do
-      let v = ref 0 in
-      for j = 3 downto 0 do
-        v := (!v lsl 1) lor (if testbit n ((i * 4) + j) then 1 else 0)
-      done;
-      Buffer.add_char buf "0123456789abcdef".[!v]
-    done;
-    Buffer.contents buf
+    let digits = (numbits n + 3) / 4 in
+    String.init digits (fun i ->
+        "0123456789abcdef".[bits_at n.mag (4 * (digits - 1 - i)) 4])
   end
 
 let pp fmt n = Format.pp_print_string fmt (to_string n)
@@ -494,22 +495,22 @@ let mod_pow_generic b e m =
     !result
   end
 
-(* Montgomery exponentiation (CIOS), used for odd moduli — the RSA case.
-   Operands live as little-endian limb arrays of the modulus's width; the
-   accumulator never exceeds 2^52 + 2^27, well inside a 63-bit int. *)
+(* Montgomery arithmetic for odd moduli (the RSA case).  Residues are
+   little-endian k-limb arrays below n, where k is the modulus width and
+   R = base^k.  Both kernels form the double-width product in a 2k-limb
+   scratch array and then run one SOS reduction over it, so a product
+   writes into its destination and allocates nothing; an exponentiation
+   allocates its scratch, its window table and its result.  Every column
+   sum t + a*b + c stays <= (base-1)^2 + 2(base-1) < 2^60, so carries
+   never exceed one limb. *)
 module Mont = struct
   type ctx = {
-    n_limbs : int array;
-    k : int;
-    n0' : int; (* -n[0]^-1 mod base *)
-    r2 : int array; (* R^2 mod n, R = base^k *)
+    n : int array; (* the modulus's limbs; k = Array.length n *)
+    n0' : int; (* -n^-1 mod base *)
+    r1 : int array; (* R mod n: 1 in Montgomery form *)
+    r2 : int array; (* R^2 mod n: converts into Montgomery form *)
     modulus : t;
   }
-
-  let limbs_of k v =
-    let a = Array.make k 0 in
-    Array.blit v.mag 0 a 0 (Array.length v.mag);
-    a
 
   let inv_limb n0 =
     (* Hensel lifting: x <- x * (2 - n0 * x) doubles correct low bits. *)
@@ -520,99 +521,165 @@ module Mont = struct
     !x land limb_mask
 
   let create m =
-    if m.sign <= 0 || not (testbit m 0) then None
+    if m.sign <= 0 || not (testbit m 0) || equal m one then None
     else begin
       let k = Array.length m.mag in
-      let n_limbs = limbs_of k m in
-      let n0' = base - inv_limb n_limbs.(0) in
-      let r2 = mod_ (shift_left one (2 * k * base_bits)) m in
-      Some { n_limbs; k; n0'; r2 = limbs_of k r2; modulus = m }
+      let limbs v =
+        let a = Array.make k 0 in
+        Array.blit v.mag 0 a 0 (Array.length v.mag);
+        a
+      in
+      let r_pow i = mod_ (shift_left one (i * k * base_bits)) m in
+      Some
+        {
+          n = m.mag;
+          n0' = base - inv_limb m.mag.(0);
+          r1 = limbs (r_pow 1);
+          r2 = limbs (r_pow 2);
+          modulus = m;
+        }
     end
 
-  (* acc := MontMul(a, b) — both k-limb arrays; result k limbs. *)
-  let mont_mul ctx a b =
-    let k = ctx.k in
-    let n = ctx.n_limbs in
-    let acc = Array.make (k + 2) 0 in
+  (* dst := t * R^-1 mod n for the 2k-limb t < n*R (SOS reduction).  Row
+     i adds m*n*base^i, which clears limb i; the carry out of limb i+k is
+     deferred into the next row.  The result is < 2n before the final
+     conditional subtraction. *)
+  let redc_into ctx t dst =
+    let n = ctx.n in
+    let k = Array.length n in
+    let top = ref 0 in
+    for i = 0 to k - 1 do
+      let m = t.(i) * ctx.n0' land limb_mask in
+      let c = ref 0 in
+      for j = 0 to k - 1 do
+        let v = t.(i + j) + (m * n.(j)) + !c in
+        t.(i + j) <- v land limb_mask;
+        c := v lsr base_bits
+      done;
+      let v = t.(i + k) + !c + !top in
+      t.(i + k) <- v land limb_mask;
+      top := v lsr base_bits
+    done;
+    (* Highest limb where the result and n differ, or -1 if equal. *)
+    let i = ref (k - 1) in
+    while !i >= 0 && t.(k + !i) = n.(!i) do
+      decr i
+    done;
+    if !top > 0 || !i < 0 || t.(k + !i) > n.(!i) then begin
+      let borrow = ref 0 in
+      for i = 0 to k - 1 do
+        let d = t.(k + i) - n.(i) - !borrow in
+        dst.(i) <- d land limb_mask;
+        borrow := (d asr base_bits) land 1
+      done
+    end
+    else Array.blit t k dst 0 k
+
+  (* dst := a * b * R^-1 mod n.  [t] is the 2k-limb scratch; [dst] may
+     alias [a] or [b], which are fully read before it is written. *)
+  let mont_mul_into ctx t a b dst =
+    let k = Array.length ctx.n in
+    Array.fill t 0 k 0;
     for i = 0 to k - 1 do
       let ai = a.(i) in
       let c = ref 0 in
       for j = 0 to k - 1 do
-        let t = acc.(j) + (ai * b.(j)) + !c in
-        acc.(j) <- t land limb_mask;
-        c := t lsr base_bits
+        let v = t.(i + j) + (ai * b.(j)) + !c in
+        t.(i + j) <- v land limb_mask;
+        c := v lsr base_bits
       done;
-      let t = acc.(k) + !c in
-      acc.(k) <- t land limb_mask;
-      acc.(k + 1) <- acc.(k + 1) + (t lsr base_bits);
-      let m0 = acc.(0) * ctx.n0' land limb_mask in
-      let c = ref ((acc.(0) + (m0 * n.(0))) lsr base_bits) in
-      for j = 1 to k - 1 do
-        let t = acc.(j) + (m0 * n.(j)) + !c in
-        acc.(j - 1) <- t land limb_mask;
-        c := t lsr base_bits
-      done;
-      let t = acc.(k) + !c in
-      acc.(k - 1) <- t land limb_mask;
-      acc.(k) <- acc.(k + 1) + (t lsr base_bits);
-      acc.(k + 1) <- 0
+      t.(i + k) <- !c
     done;
-    let out = Array.sub acc 0 k in
-    (* Conditional subtraction: the result is < 2n. *)
-    let ge =
-      acc.(k) > 0
-      ||
-      let rec cmp i =
-        if i < 0 then true
-        else if out.(i) <> n.(i) then out.(i) > n.(i)
-        else cmp (i - 1)
-      in
-      cmp (k - 1)
-    in
-    if ge then begin
-      let borrow = ref 0 in
-      for i = 0 to k - 1 do
-        let d = out.(i) - n.(i) - !borrow in
-        if d < 0 then begin
-          out.(i) <- d + base;
-          borrow := 1
-        end
-        else begin
-          out.(i) <- d;
-          borrow := 0
-        end
-      done
-    end;
-    out
+    redc_into ctx t dst
 
-  let mod_pow ctx b e =
-    let k = ctx.k in
-    let b = mod_ b ctx.modulus in
-    let b_mont = mont_mul ctx (limbs_of k b) ctx.r2 in
-    (* 1 in Montgomery form: R mod n = MontMul(1, R^2). *)
-    let one_limbs = Array.make k 0 in
-    one_limbs.(0) <- 1;
-    let result = ref (mont_mul ctx one_limbs ctx.r2) in
-    let acc = ref b_mont in
-    let bits = numbits e in
-    for i = 0 to bits - 1 do
-      if testbit e i then result := mont_mul ctx !result !acc;
-      if i < bits - 1 then acc := mont_mul ctx !acc !acc
+  (* dst := a * a * R^-1 mod n, forming each cross product a_i*a_j
+     (i < j) once, doubling, then adding the diagonal a_i^2. *)
+  let mont_sqr_into ctx t a dst =
+    let k = Array.length ctx.n in
+    Array.fill t 0 (2 * k) 0;
+    for i = 0 to k - 2 do
+      let ai = a.(i) in
+      let c = ref 0 in
+      for j = i + 1 to k - 1 do
+        let v = t.(i + j) + (ai * a.(j)) + !c in
+        t.(i + j) <- v land limb_mask;
+        c := v lsr base_bits
+      done;
+      t.(i + k) <- !c
     done;
-    let plain = mont_mul ctx !result one_limbs in
-    normalize 1 plain
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let d = a.(i) * a.(i) in
+      let lo = (t.(2 * i) lsl 1) + (d land limb_mask) + !c in
+      t.(2 * i) <- lo land limb_mask;
+      let hi = (t.((2 * i) + 1) lsl 1) + (d lsr base_bits) + (lo lsr base_bits) in
+      t.((2 * i) + 1) <- hi land limb_mask;
+      c := hi lsr base_bits
+    done;
+    redc_into ctx t dst
+
+  let window = 4
+
+  (* b^e mod n.  Exponents up to 64 bits (public exponents such as
+     65537) use left-to-right square-and-multiply; longer ones a fixed
+     4-bit window over a 16-entry table of b^i. *)
+  let pow ctx b e =
+    if e.sign < 0 then invalid_arg "Bignum.mod_pow: negative exponent";
+    let k = Array.length ctx.n in
+    let t = Array.make (2 * k) 0 in
+    let x = Array.make k 0 in
+    let b = mod_ b ctx.modulus in
+    Array.blit b.mag 0 x 0 (Array.length b.mag);
+    mont_mul_into ctx t x ctx.r2 x;
+    let nb = numbits e in
+    let acc =
+      if nb = 0 then Array.copy ctx.r1
+      else if nb <= 64 then begin
+        let acc = Array.copy x in
+        for i = nb - 2 downto 0 do
+          mont_sqr_into ctx t acc acc;
+          if testbit e i then mont_mul_into ctx t acc x acc
+        done;
+        acc
+      end
+      else begin
+        let table = Array.make (1 lsl window) ctx.r1 in
+        table.(1) <- x;
+        for i = 2 to (1 lsl window) - 1 do
+          let y = Array.make k 0 in
+          mont_mul_into ctx t table.(i - 1) x y;
+          table.(i) <- y
+        done;
+        let nw = (nb + window - 1) / window in
+        let acc = Array.copy table.(bits_at e.mag ((nw - 1) * window) window) in
+        for w = nw - 2 downto 0 do
+          for _ = 1 to window do
+            mont_sqr_into ctx t acc acc
+          done;
+          let d = bits_at e.mag (w * window) window in
+          if d <> 0 then mont_mul_into ctx t acc table.(d) acc
+        done;
+        acc
+      end
+    in
+    (* Leave Montgomery form: REDC of acc itself. *)
+    Array.blit acc 0 t 0 k;
+    Array.fill t k k 0;
+    redc_into ctx t acc;
+    normalize 1 acc
 end
+
+type monty = Mont.ctx
+
+let monty = Mont.create
+let mod_pow_monty = Mont.pow
 
 let mod_pow b e m =
   if m.sign <= 0 then invalid_arg "Bignum.mod_pow: modulus must be positive";
   if e.sign < 0 then invalid_arg "Bignum.mod_pow: negative exponent";
-  if equal m one then zero
-  else if testbit m 0 && Array.length m.mag >= 2 then begin
-    match Mont.create m with
-    | Some ctx -> Mont.mod_pow ctx b e
-    | None -> mod_pow_generic b e m
-  end
-  else mod_pow_generic b e m
+  match Mont.create m with
+  | Some ctx -> Mont.pow ctx b e
+  | None -> mod_pow_generic b e m
 
 let random g ~bits =
   if bits <= 0 then invalid_arg "Bignum.random: bits <= 0";
@@ -675,39 +742,43 @@ let is_probable_prime ?(rounds = 24) g n =
       in
       if divisible_by_small then false
       else begin
-        (* n - 1 = d * 2^s with d odd *)
-        let n1 = sub n one in
-        let s = ref 0 in
-        let d = ref n1 in
-        while not (testbit !d 0) do
-          d := shift_right !d 1;
-          incr s
-        done;
-        let witness a =
-          let x = ref (mod_pow a !d n) in
-          if equal !x one || equal !x n1 then false
-          else begin
-            let composite = ref true in
-            (try
-               for _ = 1 to !s - 1 do
-                 x := mod_ (mul !x !x) n;
-                 if equal !x n1 then begin
-                   composite := false;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            !composite
-          end
-        in
-        let rec rounds_loop k =
-          if k = 0 then true
-          else begin
-            let a = add two (random_below g (sub n (of_int 4))) in
-            if witness a then false else rounds_loop (k - 1)
-          end
-        in
-        rounds_loop rounds
+        (* Trial division by 2 leaves n odd, so the context exists. *)
+        match Mont.create n with
+        | None -> false
+        | Some ctx ->
+            (* n - 1 = d * 2^s with d odd *)
+            let n1 = sub n one in
+            let s = ref 0 in
+            let d = ref n1 in
+            while not (testbit !d 0) do
+              d := shift_right !d 1;
+              incr s
+            done;
+            let witness a =
+              let x = ref (Mont.pow ctx a !d) in
+              if equal !x one || equal !x n1 then false
+              else begin
+                let composite = ref true in
+                (try
+                   for _ = 1 to !s - 1 do
+                     x := mod_ (mul !x !x) n;
+                     if equal !x n1 then begin
+                       composite := false;
+                       raise Exit
+                     end
+                   done
+                 with Exit -> ());
+                !composite
+              end
+            in
+            let rec rounds_loop k =
+              if k = 0 then true
+              else begin
+                let a = add two (random_below g (sub n (of_int 4))) in
+                if witness a then false else rounds_loop (k - 1)
+              end
+            in
+            rounds_loop rounds
       end
 
 let generate_prime g ~bits =

@@ -2,11 +2,15 @@
 
     The sealed container has no [zarith], so the RSA substrate is built on
     this from-scratch implementation: sign-magnitude representation over
-    26-bit limbs (products of two limbs fit comfortably in OCaml's 63-bit
-    native ints), schoolbook and Karatsuba multiplication, Knuth
-    algorithm-D division, and the number-theoretic operations RSA needs
-    (modular exponentiation, inverse, Miller-Rabin primality, prime
-    generation). *)
+    30-bit limbs (products of two limbs are < 2^60, and every accumulator
+    fits OCaml's 63-bit native ints), schoolbook and Karatsuba
+    multiplication, Knuth algorithm-D division, and the number-theoretic
+    operations RSA needs (modular inverse, Miller-Rabin primality, prime
+    generation).  Modular exponentiation for odd moduli runs in
+    Montgomery form: one multiply and one squaring kernel that write into
+    a per-exponentiation scratch array (SOS reduction), driven by a fixed
+    4-bit window for exponents over 64 bits and by square-and-multiply
+    for short ones such as 65537. *)
 
 type t
 (** An immutable arbitrary-precision integer. *)
@@ -79,8 +83,22 @@ val mod_inverse : t -> t -> t option
 
 val mod_pow : t -> t -> t -> t
 (** [mod_pow b e m] is [b^e mod m] for non-negative [e] and positive [m].
-    Odd multi-limb moduli (the RSA case) take a Montgomery (CIOS) fast
-    path; everything else uses square-and-multiply with division. *)
+    Odd moduli above 1 (the RSA case) take the Montgomery path, building
+    a fresh {!monty} per call; everything else uses square-and-multiply
+    with division. *)
+
+type monty
+(** A precomputed Montgomery context for one odd modulus: its limbs,
+    [-n^-1 mod base], [R mod n] and [R^2 mod n].  Building one costs two
+    divisions, so callers that exponentiate repeatedly modulo the same
+    [n] (a private key's [p] and [q]) build it once. *)
+
+val monty : t -> monty option
+(** [monty n] is the context for an odd [n > 1], [None] otherwise. *)
+
+val mod_pow_monty : monty -> t -> t -> t
+(** [mod_pow_monty ctx b e] is [b^e mod n] for the context's [n] and a
+    non-negative [e]; identical to [mod_pow b e n]. *)
 
 val mod_pow_generic : t -> t -> t -> t
 (** The division-based path, exposed so tests and benchmarks can compare

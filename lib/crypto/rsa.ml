@@ -8,6 +8,8 @@ type private_key = {
      limb operations) and recombines with Garner's formula. *)
   crt_p : Bignum.t;
   crt_q : Bignum.t;
+  mont_p : Bignum.monty; (* Montgomery contexts, built once per key *)
+  mont_q : Bignum.monty;
   crt_dp : Bignum.t; (* d mod (p-1) *)
   crt_dq : Bignum.t; (* d mod (q-1) *)
   crt_qinv : Bignum.t; (* q^-1 mod p *)
@@ -28,8 +30,13 @@ let generate g ~bits =
     else begin
       let n = Bignum.mul p q in
       let phi = Bignum.mul (Bignum.sub p Bignum.one) (Bignum.sub q Bignum.one) in
-      match (Bignum.mod_inverse default_e phi, Bignum.mod_inverse q p) with
-      | Some d, Some qinv ->
+      match
+        ( Bignum.mod_inverse default_e phi,
+          Bignum.mod_inverse q p,
+          Bignum.monty p,
+          Bignum.monty q )
+      with
+      | Some d, Some qinv, Some mont_p, Some mont_q ->
           let pub = { n; e = default_e } in
           ( pub,
             {
@@ -38,6 +45,8 @@ let generate g ~bits =
               pub;
               crt_p = p;
               crt_q = q;
+              mont_p;
+              mont_q;
               crt_dp = Bignum.mod_ d (Bignum.sub p Bignum.one);
               crt_dq = Bignum.mod_ d (Bignum.sub q Bignum.one);
               crt_qinv = qinv;
@@ -50,8 +59,8 @@ let generate g ~bits =
 (* m^d mod n via the CRT: s_p = m^dp mod p, s_q = m^dq mod q,
    s = s_q + q * (qinv * (s_p - s_q) mod p). *)
 let private_exp sk m =
-  let sp = Bignum.mod_pow m sk.crt_dp sk.crt_p in
-  let sq = Bignum.mod_pow m sk.crt_dq sk.crt_q in
+  let sp = Bignum.mod_pow_monty sk.mont_p m sk.crt_dp in
+  let sq = Bignum.mod_pow_monty sk.mont_q m sk.crt_dq in
   let h = Bignum.mod_ (Bignum.mul sk.crt_qinv (Bignum.sub sp sq)) sk.crt_p in
   Bignum.add sq (Bignum.mul sk.crt_q h)
 

@@ -12,7 +12,11 @@
     small keys keep thousand-node simulations tractable. *)
 
 type public_key = { n : Bignum.t; e : Bignum.t }
+
 type private_key
+(** Besides [d], the private key holds the CRT components and the
+    Montgomery contexts ({!Bignum.monty}) for [p] and [q], built once by
+    {!generate} and reused by every {!sign}. *)
 
 val generate : Prng.t -> bits:int -> public_key * private_key
 (** [generate g ~bits] creates a key pair with a [bits]-bit modulus.

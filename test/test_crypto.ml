@@ -282,17 +282,82 @@ let prop_mod_pow_matches_naive =
       Bignum.equal (Bignum.mod_pow b (bn e) m) (naive_mod_pow b e m))
 
 let prop_mod_pow_montgomery_matches_generic =
-  (* Odd multi-limb moduli take the Montgomery path in mod_pow; it must
-     agree with the division-based implementation bit for bit. *)
+  (* Odd moduli take the Montgomery path in mod_pow, and mod_pow_monty
+     reuses a prebuilt context; both must agree with the division-based
+     implementation bit for bit.  Moduli span 2-40 30-bit limbs, with
+     2^(30k) +/- 1 among them; exponents cross the 64-bit switch from
+     square-and-multiply to the fixed window; bases include 0, 1, m-1,
+     values >= m and negative values. *)
+  let print (seed, limbs, mk, (ek, bk)) =
+    Printf.sprintf "seed=%d limbs=%d modulus=%d exponent=%d base=%d" seed limbs
+      mk ek bk
+  in
   qtest ~count:100 "bignum: montgomery mod_pow = generic mod_pow"
-    QCheck.(triple (arb_bignum ~bits:300 ()) (arb_bignum ~bits:120 ()) (arb_bignum ~bits:260 ()))
-    (fun (b, e, m) ->
-      let e = Bignum.abs e in
-      let m = Bignum.abs m in
-      (* force odd, multi-limb *)
-      let m = Bignum.add m (Bignum.shift_left Bignum.one 200) in
-      let m = if Bignum.testbit m 0 then m else Bignum.add m Bignum.one in
-      Bignum.equal (Bignum.mod_pow b e m) (Bignum.mod_pow_generic b e m))
+    (QCheck.make ~print
+       QCheck.Gen.(
+         quad int (int_range 2 40) (int_bound 2) (pair (int_bound 5) (int_bound 5))))
+    (fun (seed, limbs, mk, (ek, bk)) ->
+      let g = Prng.create ~seed in
+      let pow2 bits = Bignum.shift_left Bignum.one bits in
+      let m =
+        match mk with
+        | 0 -> Bignum.add (pow2 (30 * (limbs - 1))) Bignum.one
+        | 1 -> Bignum.sub (pow2 (30 * limbs)) Bignum.one
+        | _ ->
+            let bits = (30 * (limbs - 1)) + 1 + Prng.int g 30 in
+            let v = Bignum.add (Bignum.random g ~bits) (pow2 (bits - 1)) in
+            if Bignum.testbit v 0 then v else Bignum.add v Bignum.one
+      in
+      let e =
+        match ek with
+        | 0 -> Bignum.zero
+        | 1 -> Bignum.one
+        | 2 -> Bignum.two
+        | 3 -> bn 65537
+        | _ -> Bignum.random g ~bits:(1 + Prng.int g 1100)
+      in
+      let b =
+        match bk with
+        | 0 -> Bignum.zero
+        | 1 -> Bignum.one
+        | 2 -> Bignum.sub m Bignum.one
+        | 3 -> Bignum.add m (Bignum.random g ~bits:(Bignum.numbits m + 64))
+        | 4 -> Bignum.neg (Bignum.random g ~bits:(Bignum.numbits m + 8))
+        | _ -> Bignum.random_below g m
+      in
+      let expected = Bignum.mod_pow_generic b e m in
+      match Bignum.monty m with
+      | None -> false
+      | Some ctx ->
+          Bignum.equal (Bignum.mod_pow b e m) expected
+          && Bignum.equal (Bignum.mod_pow_monty ctx b e) expected)
+
+(* Oracles for the limb-packing conversions: the per-byte fold
+   [of_bytes_be] used to be, and hex rendered through the byte encoding
+   with leading zeros stripped. *)
+let of_bytes_fold s =
+  String.fold_left
+    (fun acc c -> Bignum.add (Bignum.shift_left acc 8) (bn (Char.code c)))
+    Bignum.zero s
+
+let to_hex_via_bytes v =
+  let h = Sha256.hex (Bignum.to_bytes_be v) in
+  let i = ref 0 in
+  while !i < String.length h - 1 && h.[!i] = '0' do incr i done;
+  String.sub h !i (String.length h - !i)
+
+let prop_bytes_hex_roundtrip =
+  qtest ~count:300 "bignum: byte/hex conversions round-trip, match oracles"
+    QCheck.(pair (int_bound 8) (string_of_size QCheck.Gen.(int_bound 72)))
+    (fun (zeros, body) ->
+      let s = String.make zeros '\000' ^ body in
+      let v = Bignum.of_bytes_be s in
+      let len = String.length s in
+      Bignum.equal v (of_bytes_fold s)
+      && (len = 0 || String.equal (Bignum.to_bytes_be ~pad:len v) s)
+      && Bignum.equal (Bignum.of_hex (Sha256.hex s)) v
+      && String.equal (Bignum.to_hex v) (to_hex_via_bytes v)
+      && Bignum.equal (Bignum.of_hex (Bignum.to_hex v)) v)
 
 let test_mod_pow_even_modulus () =
   (* Even moduli must still work (generic path). *)
@@ -639,6 +704,7 @@ let suites =
         prop_mod_inverse;
         prop_mod_pow_matches_naive;
         prop_mod_pow_montgomery_matches_generic;
+        prop_bytes_hex_roundtrip;
         Alcotest.test_case "mod_pow even modulus" `Quick test_mod_pow_even_modulus;
         Alcotest.test_case "fermat" `Quick test_mod_pow_fermat;
         Alcotest.test_case "primality known" `Quick test_primality_known;
