@@ -1,4 +1,4 @@
-.PHONY: all build lint test bench scenarios perf benchgate clean
+.PHONY: all build lint test bench benchcheck scenarios perf benchgate clean
 
 all: build lint test
 
@@ -18,6 +18,23 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# Benchmark digest gate: every workload must reproduce the digests
+# recorded in manetbench/digests.ml at a seed of its own (7), which the
+# last stdout line reports as "correct":true.  One short pass each.
+BENCH_WORKLOADS = bootstrap_grid400 routing_mobile30 secure_rsa30
+
+benchcheck:
+	@for w in $(BENCH_WORKLOADS); do \
+	  last=$$(bash manetbench/run.sh --workload $$w --seed 7 --seconds 1 \
+	    --trace 0 | tail -n 1); \
+	  echo "$$w: $$last"; \
+	  case "$$last" in \
+	    *'"correct":true'*) ;; \
+	    *) echo "::error::$$w did not reproduce its recorded digests" >&2; \
+	       exit 1 ;; \
+	  esac; \
+	done
 
 # Validate and smoke-run every committed scenario file.
 scenarios:

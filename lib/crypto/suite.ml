@@ -28,6 +28,31 @@ let record t op ~bytes =
 
 let count_hash t ~bytes = record t Hash ~bytes
 
+(* A per-key, direct-mapped signature memo.  A relay's secure route
+   record entry signs only (IP, seq), and every source counts seq from
+   1, so a key signs byte-identical messages in every flood that shares
+   a seq.  RSA signing is deterministic, so a hit returns exactly the
+   bytes [Rsa.sign] would compute.  Slot [i] holds the last message
+   whose hash selected it and that message's signature; an empty
+   signature marks a slot never filled (a real one is never empty). *)
+let memo_slots = 256
+
+type memo = { msgs : string array; sigs : string array }
+
+(* A hit compares the full message bytes, never just the hash; a miss
+   signs and overwrites the slot. *)
+let memo_sign memo priv msg =
+  let i = String.hash msg land (memo_slots - 1) in
+  let s = Array.unsafe_get memo.sigs i in
+  if String.length s > 0 && String.equal (Array.unsafe_get memo.msgs i) msg
+  then s
+  else begin
+    let s = Rsa.sign priv msg in
+    Array.unsafe_set memo.msgs i msg;
+    Array.unsafe_set memo.sigs i s;
+    s
+  end
+
 let rsa ?(bits = 512) prng =
   let rec suite =
     {
@@ -35,12 +60,17 @@ let rsa ?(bits = 512) prng =
       generate =
         (fun () ->
           let pub, priv = Rsa.generate prng ~bits in
+          let memo =
+            { msgs = Array.make memo_slots ""; sigs = Array.make memo_slots "" }
+          in
           {
             pk_bytes = Rsa.public_key_to_bytes pub;
             sign =
               (fun msg ->
+                (* Count the request before the lookup: counters and
+                   the [on_op] subscriber see hits too. *)
                 record suite Sign ~bytes:(String.length msg);
-                Rsa.sign priv msg);
+                memo_sign memo priv msg);
           });
       verify =
         (fun ~pk_bytes ~msg ~signature ->

@@ -10,7 +10,14 @@
 
 type keypair = {
   pk_bytes : string;  (** serialized public key, as carried on the wire *)
-  sign : string -> string;  (** sign a message with the private key *)
+  sign : string -> string;
+      (** sign a message with the private key.  Every call is one sign
+          request to the suite's counters and {!t.on_op} subscriber,
+          whether or not the signature is computed afresh.  The RSA
+          suite memoizes per key: a direct-mapped table of 256 slots
+          returns a message's earlier signature when its full bytes
+          match, the same value [Rsa.sign] computes (RSA signing is
+          deterministic).  The mock suite signs on every call. *)
 }
 
 type op = Sign | Verify | Hash
@@ -38,7 +45,8 @@ type t = {
 
 val rsa : ?bits:int -> Prng.t -> t
 (** RSA suite (default 512-bit moduli).  Key generation draws from the
-    given PRNG stream, so a seeded suite is fully reproducible. *)
+    given PRNG stream, so a seeded suite is fully reproducible.  Each
+    generated key pair owns its signature memo (see {!keypair}). *)
 
 val mock : Prng.t -> t
 (** Idealized fast suite backed by {!Mock_sig}; its registry is private to

@@ -640,6 +640,42 @@ let test_mock_registries_isolated () =
   Alcotest.(check bool) "foreign registry" false
     (Mock_sig.verify reg2 ~pk_bytes:pk ~msg:"m" ~signature)
 
+(* Two distinct messages with the same full [String.hash]: they share a
+   signature-memo slot, and a memo that compared hashes instead of
+   message bytes would hand the second the first one's signature. *)
+let hash_collision () =
+  let seen = Hashtbl.create 65536 in
+  let rec go i =
+    let m = Printf.sprintf "collide-%d" i in
+    let h = String.hash m in
+    match Hashtbl.find_opt seen h with
+    | Some m' -> (m', m)
+    | None ->
+        Hashtbl.add seen h m;
+        go (i + 1)
+  in
+  go 0
+
+(* 600 sign requests drawn from a pool of 400 messages, so the RSA
+   suite's 256-slot memo both hits and evicts.  The pool holds the empty
+   message and a full-hash collision pair, which open the request list
+   back to back (the second of the pair collides with an occupied slot);
+   the rest are seeded draws with repeats. *)
+let memo_requests () =
+  let a, b = hash_collision () in
+  let g = Prng.create ~seed:79 in
+  let pool =
+    Array.init 400 (fun i ->
+        match i with
+        | 0 -> ""
+        | 1 -> a
+        | 2 -> b
+        | _ -> Prng.bytes g (1 + Prng.int g 80))
+  in
+  let head = [ 0; 1; 2; 1; 2; 0 ] in
+  List.map (fun i -> pool.(i))
+    (head @ List.init (600 - List.length head) (fun _ -> Prng.int g 400))
+
 let suite_roundtrip suite =
   let kp = suite.Suite.generate () in
   let msg = "suite message" in
@@ -649,13 +685,25 @@ let suite_roundtrip suite =
   Alcotest.(check bool) "rejects" false
     (suite.Suite.verify ~pk_bytes:kp.Suite.pk_bytes ~msg:"other" ~signature);
   Alcotest.(check int) "sig size advertised" suite.Suite.signature_size
-    (String.length signature)
+    (String.length signature);
+  (* Repeated requests: every signature verifies for its own message,
+     and a message always gets the bytes of its first signature. *)
+  let first = Hashtbl.create 400 in
+  List.iter
+    (fun msg ->
+      let signature = kp.Suite.sign msg in
+      if not (suite.Suite.verify ~pk_bytes:kp.Suite.pk_bytes ~msg ~signature)
+      then Alcotest.failf "signature of %S does not verify" msg;
+      match Hashtbl.find_opt first msg with
+      | None -> Hashtbl.add first msg signature
+      | Some s0 ->
+          Alcotest.(check string) (Printf.sprintf "stable %S" msg) s0 signature)
+    (memo_requests ())
 
 let test_suite_rsa () = suite_roundtrip (Suite.rsa ~bits:256 (Prng.create ~seed:67))
 let test_suite_mock () = suite_roundtrip (Suite.mock (Prng.create ~seed:71))
 
-let test_suite_counters () =
-  let suite = Suite.mock (Prng.create ~seed:73) in
+let suite_counters suite =
   let kp = suite.Suite.generate () in
   let s = kp.Suite.sign "a" in
   ignore (suite.Suite.verify ~pk_bytes:kp.Suite.pk_bytes ~msg:"a" ~signature:s);
@@ -664,7 +712,33 @@ let test_suite_counters () =
   Alcotest.(check int) "verifies" 2 suite.Suite.verify_count;
   Suite.reset_counters suite;
   Alcotest.(check int) "reset signs" 0 suite.Suite.sign_count;
-  Alcotest.(check int) "reset verifies" 0 suite.Suite.verify_count
+  Alcotest.(check int) "reset verifies" 0 suite.Suite.verify_count;
+  (* Counters and the subscriber count sign requests, memo hits
+     included. *)
+  let ops = ref 0 and op_bytes = ref 0 in
+  Suite.set_on_op suite
+    (Some
+       (fun ~op ~bytes ->
+         match op with
+         | Suite.Sign ->
+             incr ops;
+             op_bytes := !op_bytes + bytes
+         | Suite.Verify | Suite.Hash -> ()));
+  let reqs = memo_requests () in
+  List.iter (fun msg -> ignore (kp.Suite.sign msg)) reqs;
+  Suite.set_on_op suite None;
+  let n = List.length reqs in
+  Alcotest.(check int) "signs = requests" n suite.Suite.sign_count;
+  Alcotest.(check int) "on_op signs = requests" n !ops;
+  Alcotest.(check int) "on_op bytes"
+    (List.fold_left (fun acc m -> acc + String.length m) 0 reqs)
+    !op_bytes;
+  Alcotest.(check int) "hash blocks"
+    (List.fold_left (fun acc m -> acc + Sha256.blocks_of_len (String.length m)) 0 reqs)
+    suite.Suite.sha256_blocks
+
+let test_suite_counters () = suite_counters (Suite.mock (Prng.create ~seed:73))
+let test_suite_counters_rsa () = suite_counters (Suite.rsa ~bits:256 (Prng.create ~seed:83))
 
 let suites =
   [
@@ -740,5 +814,6 @@ let suites =
         Alcotest.test_case "rsa suite" `Quick test_suite_rsa;
         Alcotest.test_case "mock suite" `Quick test_suite_mock;
         Alcotest.test_case "op counters" `Quick test_suite_counters;
+        Alcotest.test_case "rsa op counters" `Quick test_suite_counters_rsa;
       ] );
   ]

@@ -7,51 +7,68 @@ module Address = Manet_ipv6.Address
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
 module Mobility = Manet_sim.Mobility
+module Topology = Manet_sim.Topology
 module Scenario = Manetsec.Scenario
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?rand name gen prop =
+  QCheck_alcotest.to_alcotest ?rand (QCheck.Test.make ~count ~name gen prop)
 
 let stat s name = Stats.get (Scenario.stats s) name
 
+(* Any connected random network with honest nodes must deliver
+   everything and reject nothing.  A draw whose field admits no
+   connected placement (a few n >= 20 seeds: [Scenario.create] raises
+   [Topology.No_connected_placement], its documented outcome) is outside
+   the precondition and is discarded, not failed. *)
+let benign_network_delivers (seed0, n0) =
+  let seed = 1 + (seed0 mod 1000) in
+  let n = 6 + (n0 mod 18) in
+  let params =
+    {
+      Scenario.default_params with
+      n;
+      seed;
+      topology =
+        Scenario.Random
+          {
+            width = 250.0 *. sqrt (float_of_int n);
+            height = 250.0 *. sqrt (float_of_int n);
+          };
+    }
+  in
+  let s =
+    try Scenario.create params
+    with Topology.No_connected_placement _ -> QCheck.assume_fail ()
+  in
+  let g = Prng.create ~seed:(seed + 1) in
+  let flows =
+    List.init 4 (fun _ ->
+        let a = 1 + Prng.int g (n - 1) in
+        let rec other () =
+          let b = 1 + Prng.int g (n - 1) in
+          if b = a then other () else b
+        in
+        (a, other ()))
+  in
+  Scenario.start_cbr s ~flows ~interval:0.5 ~duration:10.0 ();
+  Scenario.run s ~until:40.0;
+  Scenario.delivery_ratio s >= 0.99
+  && stat s "secure.rreq_rejected" = 0
+  && stat s "secure.rrep_rejected" = 0
+  && stat s "secure.hostile_suspected" = 0
+
 let prop_random_benign_networks_deliver =
-  (* Any connected random network with honest nodes must deliver
-     everything and reject nothing. *)
   qtest ~count:12 "integration: random benign secure networks deliver fully"
     QCheck.(pair small_nat small_nat)
-    (fun (seed0, n0) ->
-      let seed = 1 + (seed0 mod 1000) in
-      let n = 6 + (n0 mod 18) in
-      let params =
-        {
-          Scenario.default_params with
-          n;
-          seed;
-          topology =
-            Scenario.Random
-              {
-                width = 250.0 *. sqrt (float_of_int n);
-                height = 250.0 *. sqrt (float_of_int n);
-              };
-        }
-      in
-      let s = Scenario.create params in
-      let g = Prng.create ~seed:(seed + 1) in
-      let flows =
-        List.init 4 (fun _ ->
-            let a = 1 + Prng.int g (n - 1) in
-            let rec other () =
-              let b = 1 + Prng.int g (n - 1) in
-              if b = a then other () else b
-            in
-            (a, other ()))
-      in
-      Scenario.start_cbr s ~flows ~interval:0.5 ~duration:10.0 ();
-      Scenario.run s ~until:40.0;
-      Scenario.delivery_ratio s >= 0.99
-      && stat s "secure.rreq_rejected" = 0
-      && stat s "secure.rrep_rejected" = 0
-      && stat s "secure.hostile_suspected" = 0)
+    benign_network_delivers
+
+(* Fixed regression draw: QCHECK_SEED=19 generates (7, 52), i.e. seed 8
+   and n = 22, a field with no connected placement. *)
+let prop_benign_networks_seed_19 =
+  qtest ~count:12 ~rand:(Random.State.make [| 19 |])
+    "integration: benign networks, QCHECK_SEED=19 draws"
+    QCheck.(pair small_nat small_nat)
+    benign_network_delivers
 
 let test_lossy_radio_still_delivers () =
   (* 15% per-reception loss: MAC retries and end-to-end retries must keep
@@ -167,6 +184,7 @@ let suites =
     ( "integration",
       [
         prop_random_benign_networks_deliver;
+        prop_benign_networks_seed_19;
         Alcotest.test_case "lossy radio" `Quick test_lossy_radio_still_delivers;
         Alcotest.test_case "rsa suite end to end" `Quick test_rsa_suite_end_to_end;
         Alcotest.test_case "mobility" `Quick test_mobility_with_secure_routing;
